@@ -30,6 +30,7 @@ pub mod config;
 pub mod dram;
 pub mod faults;
 pub mod hierarchy;
+mod inflight;
 pub mod prefetch;
 pub mod stats;
 

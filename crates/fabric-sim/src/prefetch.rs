@@ -11,8 +11,8 @@
 
 use crate::config::SimConfig;
 use crate::dram::DramModel;
+use crate::inflight::InflightTable;
 use crate::Cycles;
-use std::collections::BTreeMap;
 
 #[derive(Debug, Clone)]
 struct Stream {
@@ -31,7 +31,7 @@ struct Stream {
 /// Safety valve: if the in-flight table ever exceeds this many entries the
 /// prefetcher drops them all (real prefetch buffers are tiny; this only
 /// guards against pathological leak in very long simulations).
-const MAX_INFLIGHT: usize = 1 << 20;
+pub(crate) const MAX_INFLIGHT: usize = 1 << 20;
 
 /// Maximum stride (in lines) a new stream allocation will infer.
 const MAX_STRIDE_LINES: u64 = 8;
@@ -55,7 +55,7 @@ pub struct StreamPrefetcher {
     tick: u64,
     line_shift: u32,
     /// line index -> completion time of the prefetch.
-    inflight: BTreeMap<u64, Cycles>,
+    inflight: InflightTable,
     issued: u64,
     useful: u64,
 }
@@ -69,7 +69,7 @@ impl StreamPrefetcher {
             train: cfg.prefetch_train,
             tick: 0,
             line_shift: cfg.line_size.trailing_zeros(),
-            inflight: BTreeMap::new(),
+            inflight: InflightTable::new(),
             issued: 0,
             useful: 0,
         }
@@ -79,7 +79,7 @@ impl StreamPrefetcher {
     /// completion time.
     pub fn take_inflight(&mut self, line_addr: u64) -> Option<Cycles> {
         let line = line_addr >> self.line_shift;
-        let ready = self.inflight.remove(&line);
+        let ready = self.inflight.take(line);
         if ready.is_some() {
             self.useful += 1;
         }
@@ -131,10 +131,12 @@ impl StreamPrefetcher {
                     }
                     let stride = s.stride;
                     let mut issued_until = s.issued_until;
+                    let line_shift = self.line_shift;
                     while next <= target {
-                        if !self.inflight.contains_key(&next) {
-                            let ready = dram.access(next << self.line_shift, now);
-                            self.inflight.insert(next, ready);
+                        if self
+                            .inflight
+                            .insert_with(next, || dram.access(next << line_shift, now))
+                        {
                             self.issued += 1;
                         }
                         issued_until = issued_until.max(next);

@@ -213,7 +213,7 @@ mod tests {
         let hits = (0..10_000).filter(|_| rng.gen_bool(0.25)).count();
         assert!((2000..3000).contains(&hits), "p=0.25 gave {hits}/10000");
         assert!(!(0..100).any(|_| rng.gen_bool(0.0)));
-        assert!((0..100).all(|_| rng.gen_bool(1.0) || true));
+        assert!((0..100).all(|_| rng.gen_bool(1.0)));
     }
 
     #[test]

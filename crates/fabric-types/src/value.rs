@@ -167,7 +167,7 @@ impl Value {
             }),
             (a, b) => {
                 // Exact integer compare when both sides are integral.
-                if let (Ok(x), Ok(y)) = (a.try_exact_i64(), b.try_exact_i64()) {
+                if let (Some(x), Some(y)) = (a.exact_i64(), b.exact_i64()) {
                     return Ok(x.cmp(&y));
                 }
                 let x = a.as_f64()?;
@@ -177,12 +177,16 @@ impl Value {
         }
     }
 
-    fn try_exact_i64(&self) -> Result<i64> {
-        match self {
-            Value::I8(_) | Value::I16(_) | Value::I32(_) | Value::I64(_) | Value::Date(_) => {
-                self.as_i64()
-            }
-            _ => Err(FabricError::Internal("not integral".into())),
+    /// The exact integer value of an integral variant; `None` for floats
+    /// and strings.
+    fn exact_i64(&self) -> Option<i64> {
+        match *self {
+            Value::I8(v) => Some(v.into()),
+            Value::I16(v) => Some(v.into()),
+            Value::I32(v) => Some(v.into()),
+            Value::I64(v) => Some(v),
+            Value::Date(v) => Some(v.into()),
+            Value::F32(_) | Value::F64(_) | Value::Str(_) => None,
         }
     }
 }
@@ -267,6 +271,51 @@ mod tests {
             Ordering::Equal
         );
         assert!(Value::Str("a".into()).compare(&Value::I8(0)).is_err());
+    }
+
+    #[test]
+    fn compare_semantics_are_pinned() {
+        use Ordering::{Equal, Greater, Less};
+        let cmp = |a: Value, b: Value| a.compare(&b);
+        // Integral variants compare exactly across widths.
+        assert_eq!(cmp(Value::I32(-4), Value::I64(-4)).unwrap(), Equal);
+        assert_eq!(
+            cmp(Value::I32(i32::MAX), Value::I64(1 << 40)).unwrap(),
+            Less
+        );
+        assert_eq!(
+            cmp(Value::I64(1 << 40), Value::I32(i32::MIN)).unwrap(),
+            Greater
+        );
+        // Dates are integral days.
+        assert_eq!(cmp(Value::Date(19_000), Value::I64(19_000)).unwrap(), Equal);
+        assert_eq!(cmp(Value::Date(19_000), Value::I64(19_001)).unwrap(), Less);
+        assert_eq!(cmp(Value::I64(-1), Value::Date(0)).unwrap(), Less);
+        // A float on either side compares through f64.
+        assert_eq!(cmp(Value::F64(2.5), Value::I64(2)).unwrap(), Greater);
+        assert_eq!(cmp(Value::I64(3), Value::F64(3.0)).unwrap(), Equal);
+        assert_eq!(cmp(Value::F32(0.5), Value::F64(0.5)).unwrap(), Equal);
+        assert_eq!(cmp(Value::F64(-0.0), Value::F64(0.0)).unwrap(), Equal);
+        assert_eq!(cmp(Value::F64(1.0), Value::F64(2.0)).unwrap(), Less);
+        // NaN is unordered, and compares Equal rather than failing.
+        assert_eq!(cmp(Value::F64(f64::NAN), Value::F64(1.0)).unwrap(), Equal);
+        assert_eq!(cmp(Value::F64(1.0), Value::F64(f64::NAN)).unwrap(), Equal);
+        assert_eq!(cmp(Value::F64(f64::NAN), Value::I64(0)).unwrap(), Equal);
+        // Strings compare byte-wise with strings, and never with numbers.
+        assert_eq!(
+            cmp(Value::Str("ab".into()), Value::Str("b".into())).unwrap(),
+            Less
+        );
+        for num in [Value::I64(0), Value::F64(0.0), Value::Date(0)] {
+            assert!(matches!(
+                cmp(Value::Str("0".into()), num.clone()),
+                Err(FabricError::TypeMismatch { .. })
+            ));
+            assert!(matches!(
+                cmp(num, Value::Str("0".into())),
+                Err(FabricError::TypeMismatch { .. })
+            ));
+        }
     }
 
     #[test]

@@ -14,6 +14,7 @@
 //! ```
 
 use fabric_sim::{FaultConfig, RecoveryPolicy, SimConfig};
+use fabric_types::Value;
 use query::{AccessPath, Engine, FaultContext};
 use workload::Lineitem;
 
@@ -211,4 +212,90 @@ fn scratchpad_recycles_across_queries_without_fresh_allocations() {
         reuses_before_hit,
         "a cache hit takes no stage buffers"
     );
+}
+
+/// The merge stage's `rows_in`, as EXPLAIN ANALYZE renders it.
+fn merge_rows_in(out: &query::QueryOutput) -> u64 {
+    out.ops
+        .iter()
+        .find(|o| o.op == "merge")
+        .map(|o| o.rows_in)
+        .expect("a cold run reports its merge operator")
+}
+
+/// A scalar aggregate folds its morsels exactly like the grouped
+/// aggregate over one group: same answer bit for bit, and the same merge
+/// `rows_in` (one partial row per morsel that kept a row), on every path
+/// and core count. The filter pins the group column to one value, so the
+/// `GROUP BY` variant has exactly one group.
+#[test]
+fn scalar_aggregate_matches_the_one_group_fold_on_every_grid_point() {
+    let aggs = "count(*), sum(l_extendedprice * (1 - l_discount)), min(l_quantity), \
+                max(l_extendedprice), avg(l_discount)";
+    let filter = "WHERE l_returnflag = 'R' AND l_quantity < 30";
+    let scalar = format!("SELECT {aggs} FROM lineitem {filter}");
+    let grouped = format!("SELECT {aggs} FROM lineitem {filter} GROUP BY l_returnflag");
+    let morsels = ROWS.div_ceil(4096) as u64;
+    for path in [AccessPath::Row, AccessPath::Col, AccessPath::Rm] {
+        let reference = engine(1).session().run_on(&scalar, path).unwrap();
+        assert_eq!(reference.rows.len(), 1);
+        for &cores in &core_grid() {
+            let mut e = engine(cores);
+            let mut s = e.session();
+            let a = s.run_on(&scalar, path).unwrap();
+            let b = s.run_on(&grouped, path).unwrap();
+            assert_eq!(
+                format!("{:?}", a.rows),
+                format!("{:?}", b.rows),
+                "{path:?} at {cores} cores: scalar fold diverged from the grouped fold"
+            );
+            assert_eq!(
+                format!("{:?}", a.rows),
+                format!("{:?}", reference.rows),
+                "{path:?} at {cores} cores diverged from the 1-core answer"
+            );
+            assert_eq!(
+                merge_rows_in(&a),
+                merge_rows_in(&b),
+                "{path:?} at {cores} cores"
+            );
+            assert!(
+                merge_rows_in(&a) > 1 && merge_rows_in(&a) <= morsels,
+                "{path:?} at {cores} cores: expected one partial per morsel, got {}",
+                merge_rows_in(&a)
+            );
+        }
+    }
+}
+
+/// A scalar aggregate over zero qualifying rows still answers one row
+/// (count 0, sum 0) with nothing for the merge to fold; MIN/MAX/AVG have
+/// no value and fail.
+#[test]
+fn scalar_aggregate_over_zero_rows_answers_one_row_on_every_grid_point() {
+    for path in [AccessPath::Row, AccessPath::Col, AccessPath::Rm] {
+        for &cores in &core_grid() {
+            let mut e = engine(cores);
+            let mut s = e.session();
+            let out = s
+                .run_on(
+                    "SELECT count(*), sum(l_quantity) FROM lineitem WHERE l_quantity < 0",
+                    path,
+                )
+                .unwrap();
+            assert_eq!(
+                out.rows,
+                vec![vec![Value::I64(0), Value::F64(0.0)]],
+                "{path:?} at {cores} cores"
+            );
+            assert_eq!(merge_rows_in(&out), 0, "{path:?} at {cores} cores");
+            for agg in ["min(l_quantity)", "max(l_quantity)", "avg(l_quantity)"] {
+                let sql = format!("SELECT count(*), {agg} FROM lineitem WHERE l_quantity < 0");
+                assert!(
+                    s.run_on(&sql, path).is_err(),
+                    "{path:?} at {cores} cores: {agg} over zero rows must fail"
+                );
+            }
+        }
+    }
 }

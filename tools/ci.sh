@@ -61,6 +61,11 @@
 #                                the never-crashed run at the recovered
 #                                watermark, replay idempotent, postmortems
 #                                validator-clean and byte-deterministic)
+#  13. benchmark contract       (fabricbench's own tests: per-seed
+#                                bit-identical simulated metrics, the
+#                                answer oracles on the default and
+#                                held-out seeds, the metric catalogue
+#                                against BENCHMARK.json)
 
 set -eu
 
@@ -197,5 +202,12 @@ if ! FABRIC_CHAOS_SEED="$CHAOS_SEED" cargo test -q --test crash_recovery; then
     printf '  FABRIC_CHAOS_SEED=%s cargo test --test crash_recovery\n' "$CHAOS_SEED"
     exit 1
 fi
+
+# Benchmark contract: the benchmark is a package of its own (its own
+# workspace and target dir), so the workspace test step above does not
+# reach it. Its tests pin what the benchmark relies on: simulated metrics
+# that repeat exactly per seed and answers that pass every oracle.
+say "benchmark contract (cargo test --manifest-path fabricbench/Cargo.toml)"
+cargo test -q --offline --manifest-path fabricbench/Cargo.toml
 
 say "tier-1 gate passed"

@@ -18,7 +18,7 @@ const HEADER: &str = "\
 # is tight in both directions: fix code, then regenerate with
 #   cargo run -p fabric-lint -- --update-baseline
 # Never regenerate to admit NEW violations.
-# An empty baseline means the workspace is debt-free under all 11 rules.
+# An empty baseline means the workspace is debt-free under every rule.
 # format: <rule> <count> <path>";
 
 /// Baseline counts keyed by `(rule name, file)`.

@@ -1,4 +1,4 @@
-//! The eleven rule passes, all matching on the [`FileModel`] token
+//! The twelve rule passes, all matching on the [`FileModel`] token
 //! stream — never on raw text — so string literals, comments, and macro
 //! bodies can no longer masquerade as code.
 //!
@@ -6,7 +6,7 @@
 //! `undocumented-unsafe`, `narrowing-cast`, `no-exit`, `ignored-result`,
 //! `raw-stats-print`, `adhoc-bench-output`) with their scopes and
 //! messages intact, so `lint-baseline.txt` entries stay comparable
-//! across the rewrite. Four are newer:
+//! across the rewrite. Five are newer:
 //!
 //! * **`exec-internals`** — the staged executor's internals are
 //!   constructed only inside `crates/query`; everyone else drives
@@ -25,10 +25,17 @@
 //!   only by the charge sites in `fabric-sim` (`hierarchy.rs`, plus
 //!   `stats.rs`'s own accumulate/reconcile helpers), so the
 //!   buckets-sum==elapsed invariant is protected at the source level.
+//! * **`metric-key-alloc`** — result-affecting library code passes no
+//!   `&format!(…)` metric name to the registry's writers; the `*_fmt`
+//!   entry points build the name in a reused buffer instead.
 
 use crate::lexer::{TokKind, Token};
 use crate::model::FileModel;
 use crate::{excerpt_of, layering, Diagnostic, FileClass, Rule, BENCH_HARNESS_FILE};
+
+/// Metric-registry writers whose name argument the `metric-key-alloc`
+/// rule watches; each has a `*_fmt` twin taking `format_args!`.
+const METRIC_WRITERS: &[&str] = &["counter_add", "gauge_set", "observe", "scoped"];
 
 /// Narrow integer targets for the narrowing-cast rule. `usize`/`u64`
 /// stay legal: the hot paths widen indices, they must never truncate.
@@ -451,6 +458,28 @@ pub fn scan(
             }
         }
 
+        // ---- metric-key-alloc: a metric name built with `&format!` pays
+        // an allocation on every write; `*_fmt` + `format_args!` reuses
+        // the registry's key buffer. -------------------------------------
+        if nondet_scope
+            && t.kind == TokKind::Ident
+            && METRIC_WRITERS.contains(&t.text.as_str())
+            && code.get(i + 1).is_some_and(|n| n.is_punct("("))
+            && code.get(i + 2).is_some_and(|n| n.is_punct("&"))
+            && code.get(i + 3).is_some_and(|n| n.is_ident("format"))
+            && code.get(i + 4).is_some_and(|n| n.is_punct("!"))
+        {
+            push(
+                t.line,
+                Rule::MetricKeyAlloc,
+                format!(
+                    "`{0}(&format!(…))` allocates a metric name on every write (use \
+                     `{0}_fmt(format_args!(…))`, which reuses the registry's key buffer)",
+                    t.text
+                ),
+            );
+        }
+
         // ---- unattributed-charge: MemStats counters mutate only at the
         // charge sites. -------------------------------------------------
         if charge_scope && t.is_punct(".") {
@@ -742,5 +771,20 @@ pub fn f() -> &'static str {
             "pub fn f(p: *const u8) -> u8 { unsafe { *p } }",
         );
         assert_eq!(rules_of(&d), vec![Rule::UndocumentedUnsafe]);
+    }
+
+    #[test]
+    fn metric_key_alloc_scope() {
+        let bad = "fn f(m: &mut MetricsRegistry, c: u8) { m.counter_add(&format!(\"c{c}\"), 1); }";
+        assert_eq!(
+            rules_of(&run("crates/fabric-sim/src/x.rs", bad)),
+            vec![Rule::MetricKeyAlloc]
+        );
+        // Bench binaries and the linter are not result-affecting.
+        assert!(run("crates/bench/src/bin/fig5.rs", bad).is_empty());
+        // A name built once and passed by reference is the caller's call.
+        let ok = "fn f(m: &mut MetricsRegistry, k: &str) { let n = format!(\"{k}.x\"); \
+                  m.counter_add(&n, 1); m.counter_add_fmt(format_args!(\"{k}.y\"), 1); }";
+        assert!(run("crates/query/src/x.rs", ok).is_empty());
     }
 }

@@ -1,7 +1,7 @@
 //! Integration tests for the analyzer, driven by the same self-describing
 //! fixture corpus `--self-check` replays in CI (`fixtures/` at the crate
 //! root: `//@ scan-as:` headers plus `//~ rule` expected-finding markers).
-//! The corpus pins zero-FP/zero-FN behaviour for all eleven rules; the
+//! The corpus pins zero-FP/zero-FN behaviour for all twelve rules; the
 //! tests here add the cross-cutting guarantees the corpus cannot express
 //! about itself — that it exists, covers every rule, mutates loudly, and
 //! that the live workspace plus checked-in baseline stay ratchet-clean.
@@ -45,13 +45,13 @@ fn corpus_detects_false_negatives_and_false_positives() {
     std::fs::write(dir.join("fx.rs"), text).expect("write fixture");
     let report = check_corpus(&dir).expect("corpus readable");
     // The fixture itself is consistent, so the only failures are the
-    // coverage holes for the ten rules this one-file corpus never hits.
+    // coverage holes for the eleven rules this one-file corpus never hits.
     let holes = report
         .failures
         .iter()
         .filter(|f| f.contains("coverage hole"))
         .count();
-    assert_eq!(holes, 10, "{:?}", report.failures);
+    assert_eq!(holes, 11, "{:?}", report.failures);
     assert_eq!(report.failures.len(), holes, "{:?}", report.failures);
     std::fs::remove_dir_all(&dir).ok();
 }

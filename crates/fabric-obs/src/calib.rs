@@ -41,6 +41,27 @@ pub struct CalibEntry {
 }
 
 impl CalibEntry {
+    /// Export this entry as the `calib.<key>.*` gauges.
+    pub fn record_into(&self, registry: &mut crate::metrics::MetricsRegistry, key: &str) {
+        registry.gauge_set_fmt(format_args!("calib.{key}.runs"), self.runs as f64);
+        registry.gauge_set_fmt(
+            format_args!("calib.{key}.mean_rel_err_ns"),
+            self.mean_rel_err_ns,
+        );
+        registry.gauge_set_fmt(
+            format_args!("calib.{key}.ewma_rel_err_ns"),
+            self.ewma_rel_err_ns,
+        );
+        registry.gauge_set_fmt(
+            format_args!("calib.{key}.mean_rel_err_bytes"),
+            self.mean_rel_err_bytes,
+        );
+        registry.gauge_set_fmt(
+            format_args!("calib.{key}.ewma_rel_err_bytes"),
+            self.ewma_rel_err_bytes,
+        );
+    }
+
     fn observe(&mut self, rel_err_ns: f64, rel_err_bytes: f64) {
         self.runs += 1;
         let n = self.runs as f64;
@@ -104,17 +125,7 @@ impl CalibLedger {
     /// observation time, not here.
     pub fn record_into(&self, registry: &mut crate::metrics::MetricsRegistry) {
         for (key, e) in &self.entries {
-            registry.gauge_set(&format!("calib.{key}.runs"), e.runs as f64);
-            registry.gauge_set(&format!("calib.{key}.mean_rel_err_ns"), e.mean_rel_err_ns);
-            registry.gauge_set(&format!("calib.{key}.ewma_rel_err_ns"), e.ewma_rel_err_ns);
-            registry.gauge_set(
-                &format!("calib.{key}.mean_rel_err_bytes"),
-                e.mean_rel_err_bytes,
-            );
-            registry.gauge_set(
-                &format!("calib.{key}.ewma_rel_err_bytes"),
-                e.ewma_rel_err_bytes,
-            );
+            e.record_into(registry, key);
         }
     }
 

@@ -7,7 +7,7 @@
 //! invisible. When something goes wrong (a query degrades off the RM path,
 //! the circuit breaker trips, a CRC check fails), the owner dumps a
 //! **postmortem**: the last-N trace events as a validator-clean Chrome
-//! trace, the metrics delta since the recorder was armed, the top-down
+//! trace, the metrics delta since the registry's last mark, the top-down
 //! cycle breakdown at the instant of failure, and the fault timeline
 //! extracted from the ring. Every input is simulated state, so the
 //! artifact is byte-deterministic: the same seed produces the same dump.
@@ -39,9 +39,9 @@ pub struct Postmortem {
     /// so this always round-trips through
     /// [`crate::validate_chrome_trace`].
     pub trace: String,
-    /// Metrics delta since the recorder was last armed (or the full
-    /// snapshot if it never was), serialized via
-    /// [`MetricsSnapshot::to_json`].
+    /// Metrics delta since the registry's last
+    /// [`crate::MetricsRegistry::mark`] (or the full snapshot if it was
+    /// never marked), serialized via [`MetricsSnapshot::to_json`].
     pub metrics_delta: String,
     /// Top-down cycle breakdown at the dump instant
     /// ([`TopDown::to_json`]).
@@ -87,7 +87,6 @@ impl Postmortem {
 #[derive(Debug, Clone)]
 pub struct FlightRecorder {
     ring: TraceBuffer,
-    baseline: Option<MetricsSnapshot>,
     postmortems: Vec<Postmortem>,
     dumps: u64,
 }
@@ -103,7 +102,6 @@ impl FlightRecorder {
     pub fn with_capacity(capacity: usize) -> Self {
         FlightRecorder {
             ring: TraceBuffer::with_capacity(capacity),
-            baseline: None,
             postmortems: Vec::new(),
             dumps: 0,
         }
@@ -113,12 +111,6 @@ impl FlightRecorder {
     #[inline]
     pub fn record(&mut self, ev: TraceEvent) {
         self.ring.push(ev);
-    }
-
-    /// Arm the recorder at the start of a measured window: postmortem
-    /// metrics report the delta since this snapshot.
-    pub fn arm(&mut self, baseline: MetricsSnapshot) {
-        self.baseline = Some(baseline);
     }
 
     /// Total dumps taken (monotonic, survives postmortem eviction).
@@ -136,16 +128,18 @@ impl FlightRecorder {
         std::mem::take(&mut self.postmortems)
     }
 
-    /// Capture a postmortem at simulated cycle `now`. `current` is the
-    /// live metrics snapshot; `topdown` the breakdown at this instant.
+    /// Capture a postmortem at simulated cycle `now`. `metrics` is the
+    /// metrics delta of the window being reported (the owner's
+    /// [`crate::MetricsRegistry::delta_since_mark`]); `topdown` the
+    /// breakdown at this instant.
     pub fn dump(
         &mut self,
         reason: &'static str,
         now: Cycles,
-        current: &MetricsSnapshot,
+        metrics: &MetricsSnapshot,
         topdown: &TopDown,
     ) -> &Postmortem {
-        self.dump_with_context(reason, now, current, topdown, None)
+        self.dump_with_context(reason, now, metrics, topdown, None)
     }
 
     /// [`FlightRecorder::dump`] with a caller-supplied context document
@@ -155,20 +149,16 @@ impl FlightRecorder {
         &mut self,
         reason: &'static str,
         now: Cycles,
-        current: &MetricsSnapshot,
+        metrics: &MetricsSnapshot,
         topdown: &TopDown,
         context: Option<String>,
     ) -> &Postmortem {
         self.dumps += 1;
-        let metrics_delta = match &self.baseline {
-            Some(base) => current.delta_since(base).to_json(),
-            None => current.to_json(),
-        };
         let pm = Postmortem {
             reason,
             cycle: now,
             trace: self.sanitized_trace(),
-            metrics_delta,
+            metrics_delta: metrics.to_json(),
             topdown: topdown.to_json(),
             fault_timeline: self.fault_timeline(),
             context,
@@ -243,9 +233,9 @@ mod tests {
     use crate::trace::Category;
 
     fn armed_recorder() -> (FlightRecorder, MetricsRegistry) {
-        let mut fr = FlightRecorder::with_capacity(8);
-        let reg = MetricsRegistry::new();
-        fr.arm(reg.snapshot());
+        let fr = FlightRecorder::with_capacity(8);
+        let mut reg = MetricsRegistry::new();
+        reg.mark();
         (fr, reg)
     }
 
@@ -270,7 +260,8 @@ mod tests {
                     ..TopDownCore::default()
                 }],
             };
-            fr.dump("crc-failure", 20, &reg.snapshot(), &td).to_json()
+            fr.dump("crc-failure", 20, &reg.delta_since_mark(), &td)
+                .to_json()
         };
         let a = build();
         let b = build();
@@ -285,7 +276,7 @@ mod tests {
         let (mut fr2, reg2) = armed_recorder();
         fr2.record(TraceEvent::new(Phase::Begin, 1, "s", Category::Rm, &[]));
         fr2.record(TraceEvent::new(Phase::End, 2, "s", Category::Rm, &[]));
-        let pm = fr2.dump("degraded", 2, &reg2.snapshot(), &TopDown::default());
+        let pm = fr2.dump("degraded", 2, &reg2.delta_since_mark(), &TopDown::default());
         crate::validate_chrome_trace(&pm.trace).expect("trace validates");
     }
 
@@ -311,7 +302,7 @@ mod tests {
             .dump_with_context(
                 "recovery-degraded",
                 9,
-                &reg.snapshot(),
+                &reg.delta_since_mark(),
                 &TopDown::default(),
                 Some(ctx),
             )
@@ -326,7 +317,7 @@ mod tests {
         // Without context the key is absent entirely (byte-compatible
         // with pre-context artifacts).
         let pm2 = fr
-            .dump("degraded", 9, &reg.snapshot(), &TopDown::default())
+            .dump("degraded", 9, &reg.delta_since_mark(), &TopDown::default())
             .to_json();
         assert!(!pm2.contains("\"context\""));
     }
@@ -342,5 +333,21 @@ mod tests {
         assert_eq!(fr.dumps(), (MAX_POSTMORTEMS + 3) as u64);
         assert_eq!(fr.take_postmortems().len(), MAX_POSTMORTEMS);
         assert!(fr.postmortems().is_empty());
+    }
+
+    #[test]
+    fn dump_reports_the_window_since_the_mark() {
+        let (mut fr, mut reg) = armed_recorder();
+        reg.counter_add("before.window", 5);
+        reg.mark();
+        reg.counter_add("before.window", 2);
+        reg.counter_add("in.window", 1);
+        let pm = fr
+            .dump("degraded", 1, &reg.delta_since_mark(), &TopDown::default())
+            .to_json();
+        assert!(
+            pm.contains("\"counters\":{\"before.window\":2,\"in.window\":1}"),
+            "{pm}"
+        );
     }
 }

@@ -40,9 +40,9 @@ impl OpStats {
     /// Export as monotonic counters under `<prefix>.<op>.{invocations,
     /// rows_in,rows_out}` — the `query.op.*` namespace the executor uses.
     pub fn record_into(&self, reg: &mut MetricsRegistry, prefix: &str, op: &str) {
-        reg.counter_add(&format!("{prefix}.{op}.invocations"), self.invocations);
-        reg.counter_add(&format!("{prefix}.{op}.rows_in"), self.rows_in);
-        reg.counter_add(&format!("{prefix}.{op}.rows_out"), self.rows_out);
+        reg.counter_add_fmt(format_args!("{prefix}.{op}.invocations"), self.invocations);
+        reg.counter_add_fmt(format_args!("{prefix}.{op}.rows_in"), self.rows_in);
+        reg.counter_add_fmt(format_args!("{prefix}.{op}.rows_out"), self.rows_out);
     }
 }
 

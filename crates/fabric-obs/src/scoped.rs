@@ -9,77 +9,117 @@
 //! prefix-stripped view back out of a snapshot.
 
 use crate::metrics::{Histogram, MetricsRegistry, MetricsSnapshot};
+use std::fmt::{self, Write as _};
 
 /// A write handle that namespaces metric names under a dotted prefix.
 ///
-/// Created by [`MetricsRegistry::scoped`]; the prefix always ends with
-/// `'.'` (appended if the caller omitted it), so `scoped("session.3")`
-/// and `scoped("session.3.")` name the same subtree.
+/// Created by [`MetricsRegistry::scoped`] or
+/// [`MetricsRegistry::scoped_fmt`]; the prefix always ends with `'.'`
+/// (appended if the caller omitted it), so `scoped("session.3")` and
+/// `scoped("session.3.")` name the same subtree. The scope borrows the
+/// registry's name buffer, keeps the prefix at its front and appends each
+/// name after it, and hands the buffer back on drop, so a scoped write
+/// allocates only when its full name is new.
 pub struct ScopedMetrics<'a> {
     reg: &'a mut MetricsRegistry,
-    prefix: String,
+    /// The prefix, followed by the last name written under it.
+    key: String,
+    prefix_len: usize,
 }
 
 impl<'a> ScopedMetrics<'a> {
-    pub(crate) fn new(reg: &'a mut MetricsRegistry, prefix: &str) -> Self {
-        let mut prefix = prefix.to_string();
-        if !prefix.ends_with('.') {
-            prefix.push('.');
+    fn new(reg: &'a mut MetricsRegistry, prefix: fmt::Arguments<'_>) -> Self {
+        let mut key = std::mem::take(&mut reg.state_mut().key_buf);
+        key.clear();
+        // Writing into a `String` cannot fail.
+        let _infallible = key.write_fmt(prefix);
+        if !key.ends_with('.') {
+            key.push('.');
         }
-        ScopedMetrics { reg, prefix }
+        let prefix_len = key.len();
+        ScopedMetrics {
+            reg,
+            key,
+            prefix_len,
+        }
     }
 
-    fn key(&self, name: &str) -> String {
-        let mut k = String::with_capacity(self.prefix.len() + name.len());
-        k.push_str(&self.prefix);
+    fn owned_key(&self, name: &str) -> String {
+        let mut k = String::with_capacity(self.prefix_len + name.len());
+        k.push_str(self.prefix());
         k.push_str(name);
         k
     }
 
     /// The scope's full dotted prefix, trailing `'.'` included.
     pub fn prefix(&self) -> &str {
-        &self.prefix
+        &self.key[..self.prefix_len]
     }
 
     /// Add to `"<prefix><name>"` in the underlying registry.
     pub fn counter_add(&mut self, name: &str, delta: u64) {
-        let k = self.key(name);
-        self.reg.counter_add(&k, delta);
+        self.key.truncate(self.prefix_len);
+        self.key.push_str(name);
+        self.reg.counter_add(&self.key, delta);
     }
 
     /// Read counter `"<prefix><name>"` (0 when absent).
     pub fn counter(&self, name: &str) -> u64 {
-        self.reg.counter(&self.key(name))
+        self.reg.counter(&self.owned_key(name))
     }
 
     /// Set gauge `"<prefix><name>"`.
     pub fn gauge_set(&mut self, name: &str, value: f64) {
-        let k = self.key(name);
-        self.reg.gauge_set(&k, value);
+        self.key.truncate(self.prefix_len);
+        self.key.push_str(name);
+        self.reg.gauge_set(&self.key, value);
     }
 
     /// Record a histogram sample under `"<prefix><name>"`.
     pub fn observe(&mut self, name: &str, value: u64) {
-        let k = self.key(name);
-        self.reg.observe(&k, value);
+        self.key.truncate(self.prefix_len);
+        self.key.push_str(name);
+        self.reg.observe(&self.key, value);
+    }
+
+    /// Record a histogram sample under `"<prefix>"` followed by `name`
+    /// (`format_args!`), allocating only when the full name is new.
+    pub fn observe_fmt(&mut self, name: fmt::Arguments<'_>, value: u64) {
+        self.key.truncate(self.prefix_len);
+        // Writing into a `String` cannot fail.
+        let _infallible = self.key.write_fmt(name);
+        self.reg.observe(&self.key, value);
     }
 
     /// Read histogram `"<prefix><name>"`.
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.reg.histogram(&self.key(name))
+        self.reg.histogram(&self.owned_key(name))
     }
 
     /// A child scope: `scope("wal")` under `"durability."` writes to
     /// `"durability.wal.*"`. Reborrows the same registry.
     pub fn scope(&mut self, name: &str) -> ScopedMetrics<'_> {
-        let child = self.key(name);
-        ScopedMetrics::new(self.reg, &child)
+        let child = self.owned_key(name);
+        ScopedMetrics::new(self.reg, format_args!("{child}"))
+    }
+}
+
+impl Drop for ScopedMetrics<'_> {
+    fn drop(&mut self) {
+        self.reg.state_mut().key_buf = std::mem::take(&mut self.key);
     }
 }
 
 impl MetricsRegistry {
     /// A scoped write handle over this registry; see [`ScopedMetrics`].
     pub fn scoped(&mut self, prefix: &str) -> ScopedMetrics<'_> {
+        ScopedMetrics::new(self, format_args!("{prefix}"))
+    }
+
+    /// [`MetricsRegistry::scoped`] under a prefix built from `prefix`
+    /// (`format_args!`, e.g. `format_args!("session.{id}")`) without
+    /// allocating once the registry's name buffer is warm.
+    pub fn scoped_fmt(&mut self, prefix: fmt::Arguments<'_>) -> ScopedMetrics<'_> {
         ScopedMetrics::new(self, prefix)
     }
 }
@@ -122,15 +162,21 @@ mod tests {
             s.counter_add("queries", 2);
             s.observe("latency.q1", 700);
             s.gauge_set("p99", 700.0);
-            let mut child = s.scope("io");
-            child.counter_add("reads", 5);
+            {
+                let mut child = s.scope("io");
+                child.counter_add("reads", 5);
+            }
+            // The parent keeps its own prefix once the child is gone.
+            s.counter_add("queries", 1);
         }
-        assert_eq!(reg.counter("session.3.queries"), 2);
+        reg.scoped_fmt(format_args!("session.{}", 3))
+            .observe_fmt(format_args!("latency.{}", "q1"), 900);
+        assert_eq!(reg.counter("session.3.queries"), 3);
         assert_eq!(reg.counter("session.3.io.reads"), 5);
         assert_eq!(reg.gauge("session.3.p99"), Some(700.0));
         assert_eq!(
             reg.histogram("session.3.latency.q1").map(Histogram::count),
-            Some(1)
+            Some(2)
         );
     }
 

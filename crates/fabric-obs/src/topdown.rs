@@ -126,9 +126,12 @@ impl TopDown {
     pub fn record_into(&self, registry: &mut MetricsRegistry, prefix: &str) {
         for c in &self.cores {
             for (name, v) in c.buckets() {
-                registry.counter_add(&format!("{prefix}.core{}.td.{name}", c.core), v);
+                registry.counter_add_fmt(format_args!("{prefix}.core{}.td.{name}", c.core), v);
             }
-            registry.counter_add(&format!("{prefix}.core{}.td.elapsed", c.core), c.elapsed);
+            registry.counter_add_fmt(
+                format_args!("{prefix}.core{}.td.elapsed", c.core),
+                c.elapsed,
+            );
         }
     }
 

@@ -20,8 +20,8 @@ use crate::prefetch::StreamPrefetcher;
 use crate::stats::MemStats;
 use crate::Cycles;
 use fabric_obs::{
-    CalibLedger, Category, FabricRecorder, FlightRecorder, MetricsRegistry, NoopRecorder, Phase,
-    Postmortem, QueryLog, TopDown, TraceEvent,
+    CalibLedger, Category, FabricRecorder, FlightRecorder, MetricsRegistry, MetricsSnapshot,
+    NoopRecorder, Phase, Postmortem, QueryLog, TopDown, TraceEvent,
 };
 use fabric_types::{Addr, Result};
 
@@ -500,8 +500,9 @@ impl MemoryHierarchy {
 
     /// Arm the flight recorder at the start of a measured window: a
     /// postmortem taken later reports the metrics delta since this call.
+    /// O(1) — a mark on the metrics registry, never a snapshot.
     pub fn flight_arm(&mut self) {
-        self.flight.arm(self.metrics.snapshot());
+        self.metrics.mark();
     }
 
     /// Capture a postmortem artifact (last-N events, metrics delta,
@@ -511,8 +512,8 @@ impl MemoryHierarchy {
     pub fn flight_dump(&mut self, reason: &'static str) {
         let now = self.now();
         let td = self.topdown_now();
-        let snap = self.metrics.snapshot();
-        self.flight.dump(reason, now, &snap, &td);
+        let metrics = self.flight_metrics();
+        self.flight.dump(reason, now, &metrics, &td);
         self.metrics.counter_add("flight.dumps", 1);
     }
 
@@ -522,10 +523,21 @@ impl MemoryHierarchy {
     pub fn flight_dump_with(&mut self, reason: &'static str, context: String) {
         let now = self.now();
         let td = self.topdown_now();
-        let snap = self.metrics.snapshot();
+        let metrics = self.flight_metrics();
         self.flight
-            .dump_with_context(reason, now, &snap, &td, Some(context));
+            .dump_with_context(reason, now, &metrics, &td, Some(context));
         self.metrics.counter_add("flight.dumps", 1);
+    }
+
+    /// The metrics a postmortem reports: the delta since the last
+    /// [`MemoryHierarchy::flight_arm`], or the full snapshot when the
+    /// recorder was never armed.
+    fn flight_metrics(&self) -> MetricsSnapshot {
+        if self.metrics.is_marked() {
+            self.metrics.delta_since_mark()
+        } else {
+            self.metrics.snapshot()
+        }
     }
 
     /// The flight recorder (to inspect or drain postmortems).

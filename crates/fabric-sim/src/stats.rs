@@ -177,7 +177,7 @@ impl MemStats {
             ("lat_l1_cycles", self.lat_l1_cycles),
             ("lat_l2_cycles", self.lat_l2_cycles),
         ] {
-            registry.counter_add(&format!("{prefix}.{name}"), value);
+            registry.counter_add_fmt(format_args!("{prefix}.{name}"), value);
         }
     }
 }

@@ -376,27 +376,26 @@ impl Session<'_> {
         elapsed: u64,
         cache_hit: bool,
     ) {
-        let hist_key = format!("query.class.{class}.latency_cycles");
-        mem.metrics_mut().observe(&hist_key, elapsed);
+        let reg = mem.metrics_mut();
+        reg.observe_fmt(format_args!("query.class.{class}.latency_cycles"), elapsed);
         let temp = if cache_hit { "hit" } else { "cold" };
-        let temp_key = format!("query.class.{class}.{temp}.latency_cycles");
-        mem.metrics_mut().observe(&temp_key, elapsed);
-        if let Some(h) = mem.metrics().histogram(&temp_key) {
-            let (p50, p95, p99) = (h.quantile(0.50), h.quantile(0.95), h.quantile(0.99));
-            let reg = mem.metrics_mut();
-            reg.gauge_set(&format!("query.class.{class}.{temp}.p50_cycles"), p50);
-            reg.gauge_set(&format!("query.class.{class}.{temp}.p95_cycles"), p95);
-            reg.gauge_set(&format!("query.class.{class}.{temp}.p99_cycles"), p99);
-            if !cache_hit {
-                // Headline percentiles track cold execution only.
-                reg.gauge_set(&format!("query.class.{class}.p50_cycles"), p50);
-                reg.gauge_set(&format!("query.class.{class}.p95_cycles"), p95);
-                reg.gauge_set(&format!("query.class.{class}.p99_cycles"), p99);
-            }
+        let h = reg.observe_fmt(
+            format_args!("query.class.{class}.{temp}.latency_cycles"),
+            elapsed,
+        );
+        let (p50, p95, p99) = (h.quantile(0.50), h.quantile(0.95), h.quantile(0.99));
+        reg.gauge_set_fmt(format_args!("query.class.{class}.{temp}.p50_cycles"), p50);
+        reg.gauge_set_fmt(format_args!("query.class.{class}.{temp}.p95_cycles"), p95);
+        reg.gauge_set_fmt(format_args!("query.class.{class}.{temp}.p99_cycles"), p99);
+        if !cache_hit {
+            // Headline percentiles track cold execution only.
+            reg.gauge_set_fmt(format_args!("query.class.{class}.p50_cycles"), p50);
+            reg.gauge_set_fmt(format_args!("query.class.{class}.p95_cycles"), p95);
+            reg.gauge_set_fmt(format_args!("query.class.{class}.p99_cycles"), p99);
         }
-        let mut scope = mem.metrics_mut().scoped(&format!("session.{session_id}"));
+        let mut scope = reg.scoped_fmt(format_args!("session.{session_id}"));
         scope.counter_add("queries", 1);
-        scope.observe(&format!("latency.{class}"), elapsed);
+        scope.observe_fmt(format_args!("latency.{class}"), elapsed);
     }
 
     /// Parse + bind + verify + price `sql`, consulting the engine's plan

@@ -900,9 +900,18 @@ fn finish_output(
     }
     metrics.observe("query.exec_cycles", total);
     for a in &cores {
-        metrics.counter_add(&format!("query.core{}.busy_cycles", a.core), a.busy_cycles);
-        metrics.counter_add(&format!("query.core{}.idle_cycles", a.core), a.idle_cycles);
-        metrics.counter_add(&format!("query.core{}.bytes_read", a.core), a.bytes_read);
+        metrics.counter_add_fmt(
+            format_args!("query.core{}.busy_cycles", a.core),
+            a.busy_cycles,
+        );
+        metrics.counter_add_fmt(
+            format_args!("query.core{}.idle_cycles", a.core),
+            a.idle_cycles,
+        );
+        metrics.counter_add_fmt(
+            format_args!("query.core{}.bytes_read", a.core),
+            a.bytes_read,
+        );
     }
     topdown.record_into(metrics, "query");
     if let Some(rm) = &rm_stats {
@@ -981,17 +990,7 @@ fn finish_output(
         );
         let metrics = mem.metrics_mut();
         metrics.counter_add("calib.observations", 1);
-        metrics.gauge_set(&format!("calib.{key}.runs"), e.runs as f64);
-        metrics.gauge_set(&format!("calib.{key}.mean_rel_err_ns"), e.mean_rel_err_ns);
-        metrics.gauge_set(&format!("calib.{key}.ewma_rel_err_ns"), e.ewma_rel_err_ns);
-        metrics.gauge_set(
-            &format!("calib.{key}.mean_rel_err_bytes"),
-            e.mean_rel_err_bytes,
-        );
-        metrics.gauge_set(
-            &format!("calib.{key}.ewma_rel_err_bytes"),
-            e.ewma_rel_err_bytes,
-        );
+        e.record_into(metrics, &key);
     }
 
     Ok(QueryOutput {

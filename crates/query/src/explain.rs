@@ -239,28 +239,20 @@ pub(crate) fn analyze_paths_impl(
         // node's estimate share drifted from its apportioned actual. The
         // merge is excluded — its estimate is the f64 fix-up remainder, so
         // a relative error against it is numerology, not calibration.
-        let op_errs: Vec<(String, f64)> = out
-            .ops
-            .iter()
-            .filter(|o| o.op != "merge")
-            .map(|o| {
-                let actual_ns = mem.config().cycles_to_ns(o.actual_cycles);
-                (
-                    format!("explain.op_rel_err_pct.ns.{key}.{}", o.op),
-                    rel_err_pct(o.est_ns, actual_ns),
-                )
-            })
-            .collect();
-        let metrics = mem.metrics_mut();
-        for (name, err) in op_errs {
-            metrics.gauge_set(&name, err);
+        for o in out.ops.iter().filter(|o| o.op != "merge") {
+            let err = rel_err_pct(o.est_ns, mem.config().cycles_to_ns(o.actual_cycles));
+            mem.metrics_mut().gauge_set_fmt(
+                format_args!("explain.op_rel_err_pct.ns.{key}.{}", o.op),
+                err,
+            );
         }
-        metrics.gauge_set(
-            &format!("explain.rel_err_pct.ns.{key}"),
+        let metrics = mem.metrics_mut();
+        metrics.gauge_set_fmt(
+            format_args!("explain.rel_err_pct.ns.{key}"),
             report.ns_rel_err_pct(),
         );
-        metrics.gauge_set(
-            &format!("explain.rel_err_pct.bytes.{key}"),
+        metrics.gauge_set_fmt(
+            format_args!("explain.rel_err_pct.bytes.{key}"),
             report.bytes_rel_err_pct(),
         );
         if path == chosen {

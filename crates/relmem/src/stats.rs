@@ -53,7 +53,7 @@ impl RmStats {
             ("crc_failures", self.crc_failures),
             ("retries", self.retries),
         ] {
-            registry.counter_add(&format!("{prefix}.{name}"), value);
+            registry.counter_add_fmt(format_args!("{prefix}.{name}"), value);
         }
     }
 }

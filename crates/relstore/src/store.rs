@@ -62,7 +62,7 @@ impl RsStats {
             ("injected_faults", self.injected_faults),
             ("retries", self.retries),
         ] {
-            registry.counter_add(&format!("{prefix}.{name}"), value);
+            registry.counter_add_fmt(format_args!("{prefix}.{name}"), value);
         }
     }
 }

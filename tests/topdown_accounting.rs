@@ -278,6 +278,60 @@ fn degraded_runs_dump_validator_clean_postmortems() {
     );
 }
 
+/// A degraded RM query's postmortem reports the metrics delta of that
+/// query alone: exactly the delta from a snapshot taken just before the
+/// query to the registry's state at the dump. Between the flight
+/// recorder's arm and the dump, a breaker-open query moves only the skip
+/// counter (created by the first skip, advanced by later ones), and a
+/// dead device's failed attempt invokes no operator, so moves nothing.
+#[test]
+fn postmortem_delta_matches_a_snapshot_taken_before_the_query() {
+    let s = seed();
+    let mut e = rm_engine();
+    e.set_fault_context(FaultContext::new(dead_device(s), RecoveryPolicy::default()));
+    let prepared = e.session().prepare(RM_SQL).expect("prepares");
+    let (mut degraded, mut skipped) = (0, 0);
+    for q in 0..8 {
+        let before = e.mem_ref().metrics().snapshot();
+        let out = e
+            .session()
+            .execute_on(&prepared, AccessPath::Rm)
+            .expect("resilient");
+        assert_eq!(
+            out.degraded_from,
+            Some(AccessPath::Rm),
+            "query {q} (seed {s})"
+        );
+        let pms = e.mem().take_postmortems();
+        assert_eq!(
+            pms.len(),
+            1,
+            "query {q}: one dump per degraded query (seed {s})"
+        );
+        let mut at_dump = before.clone();
+        match pms[0].reason {
+            "breaker-open" => {
+                skipped += 1;
+                *at_dump
+                    .counters
+                    .entry("query.breaker_skips".to_string())
+                    .or_default() += 1;
+            }
+            "degraded" => degraded += 1,
+            other => panic!("query {q}: unexpected trigger {other:?} (seed {s})"),
+        }
+        assert_eq!(
+            pms[0].metrics_delta,
+            at_dump.delta_since(&before).to_json(),
+            "query {q} (seed {s})"
+        );
+    }
+    assert!(
+        degraded > 0 && skipped > 1,
+        "{degraded} degraded, {skipped} skipped (seed {s})"
+    );
+}
+
 #[test]
 fn crc_failures_dump_their_own_postmortems() {
     let (pms, _) = postmortem_run(corrupting_device(seed()), 2);
